@@ -2,9 +2,10 @@
 
 Unlike the table/figure benches (one-shot, full-scale), these measure
 steady-state throughput of the kernels every experiment leans on: IoU, NMS,
-per-image detection simulation, per-image discrimination, split-level mAP
-evaluation, and the structure-of-arrays batch operations (construction,
-feature extraction, split verdicts) that back them.
+per-image detection simulation, calibration's analytic recall, per-image
+discrimination, split-level mAP evaluation, and the structure-of-arrays
+batch operations (construction, feature extraction, split verdicts) that
+back them.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ import numpy as np
 import pytest
 
 from repro.core.features import extract_feature_arrays
+from repro.data.datasets import DATASET_SETTINGS, load_dataset
 from repro.detection.batch import DetectionBatch, DetectionBatchBuilder
 from repro.detection.boxes import iou_matrix
-from repro.detection.nms import nms_indices
+from repro.detection.nms import class_aware_nms, nms_indices
 from repro.experiments import Harness, HarnessConfig
 from repro.metrics.voc_ap import mean_average_precision
+from repro.simulate import detector as detector_module
+from repro.simulate.calibrate import expected_recall
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,32 @@ def test_micro_detect_one_image(benchmark, harness):
     record = harness.dataset("voc07", "test").records[0]
     detections = benchmark(detector.detect, record)
     assert detections.image_id == record.image_id
+
+
+def test_micro_class_aware_nms_per_image(benchmark, harness, monkeypatch):
+    """NMS of one realistic raw detector output: the largest pre-NMS output
+    of small1 over the first 100 voc07 test images (it has classes with
+    several boxes, so the masked-IoU pass runs, not the fast path)."""
+    raw = []
+    monkeypatch.setattr(detector_module, "class_aware_nms", lambda dets: raw.append(dets) or class_aware_nms(dets))
+    detector = harness.detector("small1", "voc07")
+    for record in harness.dataset("voc07", "test").records[:100]:
+        detector.detect(record)
+    largest = max(raw, key=len)
+    assert np.unique(largest.labels).size < len(largest)
+    kept = benchmark(class_aware_nms, largest)
+    assert 0 < len(kept) <= len(largest)
+
+
+def test_micro_expected_recall_4000_images(benchmark, harness):
+    """One bisection probe of calibration: the analytic recall of the
+    calibrated small1 profile over the 4000-image voc07 calibration sample."""
+    profile = harness.detector("small1", "voc07").profile
+    fraction = 4000 / DATASET_SETTINGS["voc07"].train_size
+    sample = load_dataset("voc07", "train", seed=harness.config.seed, fraction=fraction)
+    expected_recall(profile, sample)  # builds the split's cached object columns
+    value = benchmark(expected_recall, profile, sample)
+    assert 0.0 < value < 1.0
 
 
 def test_micro_discriminator_decide(benchmark, harness):

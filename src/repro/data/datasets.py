@@ -31,11 +31,13 @@ from repro.data.classes import COCO18_CLASSES, HELMET_CLASSES, VOC_CLASSES
 from repro.data.degrade import Degradation, DegradationModel
 from repro.data.scene import SceneProfile, sample_scene
 from repro.detection.batch import GroundTruthBatch
+from repro.detection.boxes import box_area
 from repro.detection.types import GroundTruth
 from repro.errors import DatasetError
 
 __all__ = [
     "ImageRecord",
+    "ObjectColumns",
     "Dataset",
     "DatasetSetting",
     "DATASET_SETTINGS",
@@ -61,6 +63,56 @@ class ImageRecord:
     def quality(self) -> float:
         """Image quality in (0, 1]; 1 = pristine."""
         return self.degradation.quality
+
+
+@dataclass(frozen=True)
+class ObjectColumns:
+    """A split's non-empty records flattened for per-object arithmetic.
+
+    Attributes
+    ----------
+    areas:
+        ``(objects,)`` area ratios, record by record in record order.
+    counts:
+        ``(records,)`` object count of each non-empty record.
+    qualities:
+        The distinct image qualities of the non-empty records, sorted.
+    quality_index:
+        ``(objects,)`` index into ``qualities`` of each object's image.
+    groups:
+        One ``(count, positions, rows)`` triple per distinct object count:
+        the positions (in ``counts``) of the records holding ``count``
+        objects, and a ``(len(positions), count)`` array of their object
+        indices in ``areas``.
+    """
+
+    areas: np.ndarray
+    counts: np.ndarray
+    qualities: np.ndarray
+    quality_index: np.ndarray
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def from_dataset(cls, dataset: "Dataset") -> "ObjectColumns":
+        """Flatten ``dataset``, skipping records without objects."""
+        batch = dataset.truth_batch
+        counts = np.diff(batch.offsets)
+        nonempty = np.flatnonzero(counts)
+        counts = counts[nonempty]
+        starts = batch.offsets[nonempty]
+        groups = []
+        for count in np.unique(counts).tolist():
+            positions = np.flatnonzero(counts == count)
+            groups.append((count, positions, starts[positions, None] + np.arange(count)))
+        image_qualities = np.array([dataset.records[index].quality for index in nonempty.tolist()], dtype=np.float64)
+        qualities, image_index = np.unique(image_qualities, return_inverse=True)
+        return cls(
+            areas=box_area(batch.boxes),
+            counts=counts,
+            qualities=qualities,
+            quality_index=np.repeat(image_index, counts),
+            groups=tuple(groups),
+        )
 
 
 @dataclass(frozen=True)
@@ -98,6 +150,15 @@ class Dataset:
         this directly, so a split's ground truth is flattened exactly once.
         """
         return GroundTruthBatch.from_truths(self.truths)
+
+    @cached_property
+    def object_columns(self) -> ObjectColumns:
+        """The split's objects as cached flat columns (see :class:`ObjectColumns`).
+
+        Profile independent, so calibration's repeated recall evaluations
+        over one split share a single flattening.
+        """
+        return ObjectColumns.from_dataset(self)
 
     @property
     def total_objects(self) -> int:

@@ -47,20 +47,30 @@ def class_aware_nms(detections: Detections, iou_threshold: float = 0.45) -> Dete
     """Apply greedy NMS independently within each predicted class.
 
     This mirrors SSD's deployment-time post-processing (per-class NMS with an
-    IoU threshold of 0.45).
+    IoU threshold of 0.45).  One greedy pass over the whole image, with IoU
+    masked to same-class pairs, gives exactly the per-class result of
+    :func:`nms_indices`: ``Detections`` keeps its boxes stably sorted by
+    descending score, which is the order ``nms_indices`` visits each class
+    in.  Returns ``detections`` itself when nothing is suppressed.
     """
-    if len(detections) == 0:
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ConfigurationError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    labels = detections.labels
+    if len(set(labels.tolist())) == labels.size:
         return detections
-    keep_mask = np.zeros(len(detections), dtype=bool)
-    for label in np.unique(detections.labels):
-        class_idx = np.flatnonzero(detections.labels == label)
-        kept = nms_indices(detections.boxes[class_idx], detections.scores[class_idx], iou_threshold)
-        keep_mask[class_idx[kept]] = True
+    boxes = detections.boxes
+    suppresses = (iou_matrix(boxes, boxes) > iou_threshold) & (labels[:, None] == labels[None, :])
+    keep = np.ones(labels.size, dtype=bool)
+    for idx in range(labels.size):
+        if keep[idx]:
+            keep[idx + 1 :] &= ~suppresses[idx, idx + 1 :]
+    if keep.all():
+        return detections
     return Detections(
         image_id=detections.image_id,
-        boxes=detections.boxes[keep_mask],
-        scores=detections.scores[keep_mask],
-        labels=detections.labels[keep_mask],
+        boxes=boxes[keep],
+        scores=detections.scores[keep],
+        labels=labels[keep],
         detector=detections.detector,
         extras=detections.extras,
     )

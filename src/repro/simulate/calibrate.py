@@ -20,10 +20,10 @@ import numpy as np
 
 from repro._rng import DEFAULT_SEED
 from repro.data.datasets import Dataset
-from repro.errors import CalibrationError
+from repro.errors import CalibrationError, ConfigurationError
 from repro.metrics.counting import count_detected_objects
 from repro.simulate.detector import SimulatedDetector
-from repro.simulate.profile import DetectorProfile, detection_probability
+from repro.simulate.profile import DetectorProfile, combine_terms, crowd_term, quality_term
 
 __all__ = ["expected_recall", "solve_base_recall", "calibrate_profile"]
 
@@ -32,19 +32,43 @@ _MAX_BASE_RECALL = 25.0
 
 
 def expected_recall(profile: DetectorProfile, dataset: Dataset) -> float:
-    """Mean per-object detection probability over a split (analytic)."""
-    total_p = 0.0
-    total_n = 0
-    for record in dataset.records:
-        truth = record.truth
-        if len(truth) == 0:
-            continue
-        p = detection_probability(profile, truth.area_ratios, len(truth), record.quality)
-        total_p += float(p.sum())
-        total_n += len(truth)
-    if total_n == 0:
+    """Mean per-object detection probability over a split (analytic).
+
+    Evaluated on the split's cached :attr:`~repro.data.datasets.Dataset.object_columns`
+    in one vectorised pass, bit-identical to summing
+    :func:`~repro.simulate.profile.detection_probability` image by image:
+
+    * the area term is elementwise; the crowd and quality terms are Python
+      floats (``**`` on Python floats) per distinct object count and image
+      quality, gathered per object;
+    * the product keeps the order ``base_recall * area * crowd * quality``
+      before the cap;
+    * each image's probabilities are summed as one row of a
+      ``(images, count)`` block of equal-count images (``sum(axis=1)``
+      reduces each row exactly as ``p.sum()`` reduces that image's array;
+      ``np.add.reduceat`` does not);
+    * the images' sums are accumulated sequentially in record order
+      (``np.cumsum``), as a running ``+=`` would.
+
+    Calibration bisects on this value, so a 1-ulp change here can move a
+    calibrated ``base_recall`` and every detection built on it.
+    """
+    columns = dataset.object_columns
+    if columns.areas.size == 0:
         raise CalibrationError("dataset has no objects to calibrate on")
-    return total_p / total_n
+    if (columns.areas <= 0.0).any():
+        raise ConfigurationError("object areas must be positive")
+    if ((columns.qualities <= 0.0) | (columns.qualities > 1.0)).any():
+        raise ConfigurationError("image qualities must be in (0, 1]")
+    crowd = np.empty_like(columns.areas)
+    for count, _, rows in columns.groups:
+        crowd[rows] = crowd_term(profile, count)
+    quality = np.array([quality_term(profile, q) for q in columns.qualities.tolist()])[columns.quality_index]
+    p = combine_terms(profile, columns.areas, crowd, quality)
+    per_image = np.empty(columns.counts.size)
+    for _, positions, rows in columns.groups:
+        per_image[positions] = p[rows].sum(axis=1)
+    return float(np.cumsum(per_image)[-1]) / columns.areas.size
 
 
 def solve_base_recall(
@@ -96,12 +120,15 @@ def calibrate_profile(
 ) -> DetectorProfile:
     """Full calibration: analytic solve plus measured loss-factor estimation.
 
-    The analytic solve runs over the whole ``dataset`` (cheap, vectorised);
-    the *loss factor* — how much measured true-positive recall falls short of
-    the analytic expectation because of NMS suppression, localisation jitter
-    and class confusion — is estimated on a ``sample_size`` subset as
+    The analytic solve runs over the whole ``dataset``: each bisection probe
+    is one vectorised :func:`expected_recall` pass over the split's cached
+    object columns.  The *loss factor* — how much measured true-positive
+    recall falls short of the analytic expectation because of NMS
+    suppression, localisation jitter and class confusion — is estimated by
+    running the detector on a ``sample_size`` subset, as
     ``measured / expected`` *on the same subset*, so subset sampling bias
-    cancels out of the final profile.
+    cancels out of the final profile.  Those measured rounds run the full
+    simulator and dominate the cost.
 
     Parameters
     ----------
@@ -113,7 +140,9 @@ def calibrate_profile(
     sample_size:
         Number of images used to estimate the simulation loss factor.
     """
-    sample = dataset.subset(min(sample_size, len(dataset)))
+    # A sample covering the whole split is the split itself, so its cached
+    # object columns and truth batch are built once, not twice.
+    sample = dataset if sample_size >= len(dataset) else dataset.subset(sample_size)
     loss_factor = 1.0
     calibrated = profile
     for _ in range(measured_rounds + 1):

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["DetectorProfile", "detection_probability"]
+__all__ = ["DetectorProfile", "detection_probability", "crowd_term", "quality_term", "combine_terms"]
 
 #: Detection probability is capped here: no detector is perfect.
 _MAX_DETECTION_PROBABILITY = 0.995
@@ -133,8 +133,32 @@ def detection_probability(
         raise ConfigurationError(f"num_objects={num_objects} smaller than the {areas.shape[0]} areas given")
     if not 0.0 < quality <= 1.0:
         raise ConfigurationError(f"quality must be in (0, 1], got {quality}")
+    return combine_terms(profile, areas, crowd_term(profile, num_objects), quality_term(profile, quality))
+
+
+def crowd_term(profile: DetectorProfile, num_objects: int) -> float:
+    """The crowding factor of an image holding ``num_objects`` objects."""
+    return 1.0 / (1.0 + (num_objects / profile.crowd_half) ** profile.crowd_gamma)
+
+
+def quality_term(profile: DetectorProfile, quality: float) -> float:
+    """The recall penalty of an image of the given quality."""
+    return quality**profile.quality_sensitivity
+
+
+def combine_terms(
+    profile: DetectorProfile,
+    areas: np.ndarray,
+    crowd: float | np.ndarray,
+    quality: float | np.ndarray,
+) -> np.ndarray:
+    """``cap(base_recall * area_term * crowd * quality)``, unvalidated.
+
+    ``crowd`` and ``quality`` are either one image's scalar terms or
+    per-object arrays aligned with ``areas``; every step is elementwise and
+    the product is taken in this order, so both forms give bit-identical
+    probabilities.
+    """
     area_term = 1.0 / (1.0 + (profile.area_half / areas) ** profile.area_gamma)
-    crowd_term = 1.0 / (1.0 + (num_objects / profile.crowd_half) ** profile.crowd_gamma)
-    quality_term = quality**profile.quality_sensitivity
-    raw = profile.base_recall * area_term * crowd_term * quality_term
+    raw = profile.base_recall * area_term * crowd * quality
     return np.clip(raw, 0.0, _MAX_DETECTION_PROBABILITY)

@@ -17,6 +17,51 @@ def _dets(boxes, scores, labels):
     return Detections("img", np.asarray(boxes, float), np.asarray(scores, float), np.asarray(labels), detector="t")
 
 
+def _per_class_nms_keep(dets: Detections, iou_threshold: float) -> np.ndarray:
+    """Reference: :func:`nms_indices` run on each class separately."""
+    keep = np.zeros(len(dets), dtype=bool)
+    for label in np.unique(dets.labels):
+        class_idx = np.flatnonzero(dets.labels == label)
+        kept = nms_indices(dets.boxes[class_idx], dets.scores[class_idx], iou_threshold)
+        keep[class_idx[kept]] = True
+    return keep
+
+
+# Coordinates on a 0.1 grid, drawn from a small pool, so duplicate boxes and
+# IoUs landing exactly on a threshold are common.
+_coord = st.integers(0, 10).map(lambda v: v / 10)
+
+
+@st.composite
+def _box(draw):
+    x1, x2 = sorted((draw(_coord), draw(_coord)))
+    y1, y2 = sorted((draw(_coord), draw(_coord)))
+    return [x1, y1, x2, y2]
+
+
+@st.composite
+def _raw_detections(draw):
+    n = draw(st.integers(0, 12))
+    pool = draw(st.lists(_box(), min_size=1, max_size=5))
+    boxes = [draw(st.sampled_from(pool)) for _ in range(n)]
+    scores = draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["single", "few", "distinct"]))
+    if mode == "single":
+        labels = [0] * n
+    elif mode == "few":
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    else:
+        labels = draw(st.permutations(range(n)))
+    return Detections(
+        "img",
+        np.asarray(boxes, dtype=float).reshape(-1, 4),
+        np.asarray(scores, dtype=float),
+        np.asarray(labels, dtype=np.int64),
+        detector="t",
+        extras={"source": "raw"},
+    )
+
+
 class TestNmsIndices:
     def test_keeps_highest_of_duplicates(self):
         boxes = [[0.1, 0.1, 0.3, 0.3], [0.11, 0.1, 0.31, 0.3]]
@@ -86,6 +131,33 @@ class TestClassAwareNms:
         dets = _dets([[0.1, 0.1, 0.3, 0.3]], [0.9], [0])
         out = class_aware_nms(dets)
         assert out.image_id == "img" and out.detector == "t"
+
+    @pytest.mark.parametrize(
+        "dets",
+        [
+            Detections.empty("img"),
+            _dets([[0.1, 0.1, 0.3, 0.3]], [0.9], [0]),
+            _dets([[0.1, 0.1, 0.3, 0.3], [0.1, 0.1, 0.3, 0.3]], [0.9, 0.8], [0, 1]),
+            _dets([[0.1, 0.1, 0.3, 0.3], [0.1, 0.1, 0.3, 0.3]], [0.9, 0.8], [0, 0]),
+        ],
+        ids=["empty", "one-box", "distinct-labels", "shared-label"],
+    )
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
+    def test_bad_threshold_rejected_on_every_input(self, dets, threshold):
+        with pytest.raises(ConfigurationError):
+            class_aware_nms(dets, threshold)
+
+    @settings(max_examples=200)
+    @given(dets=_raw_detections(), threshold=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_equals_per_class_nms_indices(self, dets, threshold):
+        out = class_aware_nms(dets, threshold)
+        keep = _per_class_nms_keep(dets, threshold)
+        np.testing.assert_array_equal(out.boxes, dets.boxes[keep])
+        np.testing.assert_array_equal(out.scores, dets.scores[keep])
+        np.testing.assert_array_equal(out.labels, dets.labels[keep])
+        assert out.image_id == dets.image_id
+        assert out.detector == dets.detector
+        assert out.extras == {"source": "raw"}
 
 
 class TestFilterByScore:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.datasets import load_dataset
+from repro.data.datasets import Dataset, ImageRecord, load_dataset
+from repro.data.degrade import Degradation
+from repro.detection.types import GroundTruth
 from repro.errors import CalibrationError, ConfigurationError, RegistryError
 from repro.metrics.counting import count_summary
 from repro.simulate.calibrate import expected_recall, solve_base_recall
@@ -28,6 +32,20 @@ def voc_mini():
 
 def _profile(**kwargs) -> DetectorProfile:
     return DetectorProfile(name="test", **kwargs)
+
+
+def _split(boxes_per_image, quality=1.0) -> Dataset:
+    """A hand-built split; ``quality`` bypasses ``Degradation`` validation."""
+    degradation = Degradation() if quality == 1.0 else SimpleNamespace(quality=quality)
+    records = [
+        ImageRecord(
+            truth=GroundTruth(f"img{i}", np.asarray(boxes, dtype=float).reshape(-1, 4), np.zeros(len(boxes))),
+            degradation=degradation,
+            render_seed=0,
+        )
+        for i, boxes in enumerate(boxes_per_image)
+    ]
+    return Dataset(name="hand", split="test", classes=("thing",), records=records)
 
 
 class TestDetectionProbability:
@@ -170,6 +188,27 @@ class TestCalibration:
     def test_bad_target_rejected(self, voc_mini):
         with pytest.raises(CalibrationError):
             solve_base_recall(_profile(), voc_mini, target=1.5)
+
+    def test_expected_recall_matches_per_image_sum(self, voc_mini):
+        profile = _profile(base_recall=1.3, quality_sensitivity=2.0)
+        total = 0.0
+        for record in voc_mini.records:
+            if len(record.truth):
+                p = detection_probability(profile, record.truth.area_ratios, len(record.truth), record.quality)
+                total += float(p.sum())
+        assert expected_recall(profile, voc_mini) == total / voc_mini.total_objects
+
+    def test_expected_recall_no_objects_rejected(self):
+        with pytest.raises(CalibrationError):
+            expected_recall(_profile(), _split([[]]))
+
+    def test_expected_recall_zero_area_rejected(self):
+        with pytest.raises(ConfigurationError):
+            expected_recall(_profile(), _split([[[0.1, 0.1, 0.1, 0.4]]]))
+
+    def test_expected_recall_bad_quality_rejected(self):
+        with pytest.raises(ConfigurationError):
+            expected_recall(_profile(), _split([[[0.1, 0.1, 0.3, 0.4]]], quality=1.5))
 
 
 class TestPresets:
