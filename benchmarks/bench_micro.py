@@ -3,8 +3,8 @@
 Unlike the table/figure benches (one-shot, full-scale), these measure
 steady-state throughput of the kernels every experiment leans on: IoU, NMS,
 detection simulation (one image and a 4000-image split), scene synthesis,
-calibration's analytic recall, per-image discrimination, split-level mAP
-evaluation, and the structure-of-arrays batch operations (construction,
+calibration's analytic recall and measured-round count, per-image
+discrimination, split-level mAP evaluation, and the structure-of-arrays batch operations (construction,
 feature extraction, split verdicts) that back them.
 """
 
@@ -19,6 +19,7 @@ from repro.detection.batch import DetectionBatch, DetectionBatchBuilder
 from repro.detection.boxes import iou_matrix
 from repro.detection.nms import class_aware_nms, nms_indices
 from repro.experiments import Harness, HarnessConfig
+from repro.metrics.counting import count_detected_objects
 from repro.metrics.voc_ap import mean_average_precision
 from repro.simulate import detector as detector_module
 from repro.simulate.calibrate import expected_recall
@@ -65,6 +66,17 @@ def test_micro_detect_split_4000_images(benchmark, harness):
     sample = load_dataset("voc07", "train", seed=harness.config.seed, fraction=_calibration_fraction())
     batch = benchmark(detector.detect_split, sample)
     assert len(batch) == 4000
+
+
+def test_micro_count_detected_objects_4000_images(benchmark, harness):
+    """The count of one measured calibration round: the calibrated small1
+    detector's output over the 4000-image voc07 calibration sample, matched
+    against its annotations at serving threshold 0.5."""
+    detector = harness.detector("small1", "voc07")
+    sample = load_dataset("voc07", "train", seed=harness.config.seed, fraction=_calibration_fraction())
+    batch = detector.detect_split(sample)
+    detected = benchmark(count_detected_objects, batch, sample.truth_batch)
+    assert 0 < detected <= sample.total_objects
 
 
 def test_micro_load_dataset_4000_images(benchmark, harness):

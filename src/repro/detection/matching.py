@@ -5,6 +5,10 @@ descending score; each claims the highest-IoU unclaimed ground-truth box of
 the same class, provided the IoU passes the threshold (0.5 for VOC).  The
 result drives both the AP computation and the paper's "number of detected
 objects" metric.
+
+:func:`greedy_match_arrays` matches one image; :func:`match_batch` matches
+a whole split (or a stream's frames) in one block-diagonal pass and is what
+counting, AP evaluation and rolling stream quality all run on.
 """
 
 from __future__ import annotations
@@ -13,16 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.boxes import iou_matrix
+from repro.detection.batch import DetectionBatch, GroundTruthBatch
+from repro.detection.boxes import iou_matrix, pairwise_iou
 from repro.detection.types import Detections, GroundTruth
 from repro.errors import ConfigurationError
 
 __all__ = [
     "MatchResult",
+    "check_iou_threshold",
     "greedy_match_arrays",
+    "match_batch",
     "match_detections",
     "true_positive_count",
 ]
+
+
+def check_iou_threshold(iou_threshold: float) -> None:
+    """Reject a matching IoU threshold outside ``(0, 1]`` (NaN included)."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ConfigurationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +88,7 @@ def greedy_match_arrays(
     the invariant both :class:`Detections` and
     :class:`~repro.detection.batch.DetectionBatch` segments maintain.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ConfigurationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     num_det = int(det_boxes.shape[0])
     num_gt = int(gt_boxes.shape[0])
     is_tp = np.zeros(num_det, dtype=bool)
@@ -100,6 +112,103 @@ def greedy_match_arrays(
             is_tp[det_idx] = True
             matched_gt[det_idx] = best_gt
     return MatchResult(is_tp=is_tp, matched_gt=matched_gt, gt_detected=claimed)
+
+
+def match_batch(
+    detections: DetectionBatch,
+    truth: GroundTruthBatch,
+    *,
+    iou_threshold: float = 0.5,
+    frames: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy VOC matching of every image of a split in one pass.
+
+    By default image ``i``'s segment of ``detections`` is matched against
+    image ``i`` of ``truth``.  ``frames=(starts, counts, records)`` instead
+    matches rows ``starts[f]:starts[f] + counts[f]`` against annotation
+    ``records[f]`` for every frame ``f`` (a stream replays records and
+    serves sub-segments).  Returns ``(frame_tp, row_tp)``: per-image (or
+    per-frame) true-positive counts and per-row true-positive flags over
+    ``detections``' flat rows.
+
+    Exactly :func:`greedy_match_arrays` run image by image: detections visit
+    in segment (score-descending) order and each claims the highest-IoU
+    unclaimed same-class ground-truth box at or above the threshold, the
+    lowest index winning ties.  Every (image, detection, ground-truth) pair
+    is built in one flat block-diagonal gather; only same-class pairs get an
+    IoU, and only those at or above the threshold can ever claim.  A pair
+    whose detection and ground-truth box have no other such pair is a true
+    positive outright; only contended pairs replay the greedy order.
+
+    Images never share ground truth, so the class-restricted claim order
+    inside an image is the same whether images are visited alone or
+    interleaved by score across a split: the row flags serve the per-class
+    PR curves of VOC AP as well as the counts.
+    """
+    check_iou_threshold(iou_threshold)
+    if frames is None:
+        if len(detections) != len(truth):
+            raise ConfigurationError(f"got {len(detections)} detection sets for {len(truth)} images")
+        starts = detections.offsets[:-1]
+        counts = np.diff(detections.offsets)
+        records = np.arange(len(truth), dtype=np.int64)
+    else:
+        starts, counts, records = frames
+    frame_tp = np.zeros(counts.shape[0], dtype=np.int64)
+    row_tp = np.zeros(detections.num_boxes, dtype=bool)
+    gt_counts = truth.counts()[records]
+    active = np.flatnonzero((counts > 0) & (gt_counts > 0))
+    if active.size == 0:
+        return frame_tp, row_tp
+    gt_per_frame = gt_counts[active]
+    pair_counts = counts[active] * gt_per_frame
+    bases = np.zeros(active.size, dtype=np.int64)
+    np.cumsum(pair_counts[:-1], out=bases[1:])
+    pair_frame = np.repeat(np.arange(active.size, dtype=np.int64), pair_counts)
+    local = np.arange(int(pair_counts.sum()), dtype=np.int64) - bases[pair_frame]
+    det_local, gt_local = np.divmod(local, gt_per_frame[pair_frame])
+    det_rows = starts[active][pair_frame] + det_local
+    gt_rows = truth.offsets[:-1][records[active]][pair_frame] + gt_local
+    same = np.flatnonzero(detections.labels[det_rows] == truth.labels[gt_rows])
+    iou = pairwise_iou(detections.boxes[det_rows[same]], truth.boxes[gt_rows[same]])
+    passing = iou >= iou_threshold
+    candidates = same[passing]
+    iou = iou[passing]
+    # Candidates stay ordered by (frame, detection, ground truth).  A claim
+    # is keyed by the frame's ground-truth box: its first pair's index.
+    cand_frame = pair_frame[candidates]
+    cand_det = det_local[candidates]
+    cand_claim = bases[cand_frame] + gt_local[candidates]
+    first = np.ones(candidates.size, dtype=bool)
+    first[1:] = (cand_frame[1:] != cand_frame[:-1]) | (cand_det[1:] != cand_det[:-1])
+    last = np.ones(candidates.size, dtype=bool)
+    last[:-1] = first[1:]
+    cand_tp = first & last & (np.bincount(cand_claim)[cand_claim] == 1)
+    contended = np.flatnonzero(~cand_tp)
+    if contended.size:
+        claimed: set[int] = set()
+        starts_group = first[contended].tolist()
+        claims = cand_claim[contended].tolist()
+        ious = iou[contended].tolist()
+        winners: list[int] = []
+        index, num_pairs = 0, len(claims)
+        while index < num_pairs:
+            best_iou, best = 0.0, -1
+            # strict ">" over ascending ground-truth order keeps the lowest
+            # index on IoU ties, like argmax
+            while True:
+                if ious[index] > best_iou and claims[index] not in claimed:
+                    best_iou, best = ious[index], index
+                index += 1
+                if index == num_pairs or starts_group[index]:
+                    break
+            if best >= 0:
+                claimed.add(claims[best])
+                winners.append(best)
+        cand_tp[contended[winners]] = True
+    row_tp[det_rows[candidates[cand_tp]]] = True
+    frame_tp[active] = np.bincount(cand_frame[cand_tp], minlength=active.size)
+    return frame_tp, row_tp
 
 
 def match_detections(

@@ -12,11 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.detection.batch import DetectionBatch, GroundTruthBatch
-from repro.detection.matching import greedy_match_arrays
+from repro.detection.matching import check_iou_threshold, match_batch
 from repro.detection.types import Detections, GroundTruth
 from repro.errors import ConfigurationError
 
 __all__ = ["CountSummary", "count_detected_objects", "count_summary"]
+
+
+def _check_thresholds(score_threshold: float, iou_threshold: float) -> None:
+    """Reject a score threshold outside ``[0, 1]`` (NaN included) and an IoU
+    threshold outside ``(0, 1]``."""
+    if not 0.0 <= score_threshold <= 1.0:
+        raise ConfigurationError(f"score_threshold must be in [0, 1], got {score_threshold}")
+    check_iou_threshold(iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -52,31 +60,14 @@ def count_detected_objects(
 ) -> int:
     """Total true-positive count over a split.
 
-    Both sides are consumed as flat batches (coerced once for list inputs):
-    the serving filter runs in one pass over the detection arrays and the
-    per-image greedy matching works on offset slices of both pools — no
-    per-image container construction or annotation re-flattening.
+    The serving filter is one pass over the flat detection arrays, and the
+    whole split matches in one :func:`~repro.detection.matching.match_batch`
+    call.  Thresholds are checked before any work.
     """
-    gt = GroundTruthBatch.coerce(truths)
-    if len(detections) != len(gt):
-        raise ConfigurationError(f"got {len(detections)} detection sets for {len(gt)} images")
+    _check_thresholds(score_threshold, iou_threshold)
     served = DetectionBatch.coerce(detections).above(score_threshold)
-    offsets = served.offsets
-    gt_offsets = gt.offsets
-    total = 0
-    for index in range(len(gt)):
-        lo, hi = int(offsets[index]), int(offsets[index + 1])
-        gt_lo, gt_hi = int(gt_offsets[index]), int(gt_offsets[index + 1])
-        if lo == hi or gt_lo == gt_hi:
-            continue
-        total += greedy_match_arrays(
-            served.boxes[lo:hi],
-            served.labels[lo:hi],
-            gt.boxes[gt_lo:gt_hi],
-            gt.labels[gt_lo:gt_hi],
-            iou_threshold=iou_threshold,
-        ).num_tp
-    return total
+    frame_tp, _ = match_batch(served, GroundTruthBatch.coerce(truths), iou_threshold=iou_threshold)
+    return int(frame_tp.sum())
 
 
 def count_summary(
@@ -87,6 +78,7 @@ def count_summary(
     iou_threshold: float = 0.5,
 ) -> CountSummary:
     """Detected-object count plus the split's ground-truth total."""
+    _check_thresholds(score_threshold, iou_threshold)
     gt = GroundTruthBatch.coerce(truths)
     detected = count_detected_objects(
         detections,

@@ -28,12 +28,13 @@ The evaluation is vectorized for fleet-scale traces, resting on one
 observation: greedy VOC matching is *per frame* — detections only contend
 for ground-truth boxes of their own frame — so each detection's
 true-positive flag is the same in every window that contains its frame.
-One block-diagonal pairwise-IoU pass (the VOC evaluator's flat-IoU trick)
-therefore matches every frame once, up front; deferred verdicts resolve
-with one ``np.where``; windows partition via ``np.searchsorted`` over
-sorted arrivals; and each window's mAP needs only a score sort of the
-precomputed flags plus the VOC interpolation — no per-window IoU, matching,
-or batch construction at all.
+One :func:`~repro.detection.matching.match_batch` pass (the block-diagonal
+matcher counting and VOC AP also run on) therefore matches every frame
+once, up front, whether a window scores PR curves or object counts;
+deferred verdicts resolve with one ``np.where``; windows partition via
+``np.searchsorted`` over sorted arrivals; and each window's mAP needs only a
+score sort of the precomputed flags plus the VOC interpolation — no
+per-window IoU, matching, or batch construction at all.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.detection.batch import DetectionBatch, GroundTruthBatch
-from repro.detection.boxes import pairwise_iou
+from repro.detection.batch import DetectionBatch
+from repro.detection.matching import match_batch
 from repro.errors import ConfigurationError
 from repro.metrics.voc_ap import voc_ap_from_pr
 
@@ -196,93 +197,6 @@ def _window_count(duration_s: float, step_s: float) -> int:
     return count
 
 
-def _frame_matches(
-    above: DetectionBatch,
-    frame_starts: np.ndarray,
-    frame_counts: np.ndarray,
-    records: np.ndarray,
-    truth: GroundTruthBatch,
-    iou_threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy VOC matching of every frame's above-threshold detections.
-
-    Returns ``(frame_tp, row_tp)``: per-frame true-positive counts and the
-    per-detection true-positive flags over ``above``'s flat rows.  One
-    block-diagonal pass over every (frame, detection, ground-truth)
-    candidate pair reproduces
-    :func:`repro.detection.matching.greedy_match_arrays` exactly: a frame's
-    detections visit in score-descending order (the segment order), each
-    claims the highest-IoU unclaimed same-class ground-truth box at or above
-    the threshold, first index winning ties.  Candidate pairs are
-    prefiltered to same-class-and-above-threshold, which cannot change the
-    greedy outcome (below-threshold or claimed-and-zeroed candidates never
-    claim, since the threshold is positive).
-
-    Because detections of different frames never contend for the same
-    ground-truth box, the class-restricted claim order inside one frame is
-    the same whether frames are visited alone, interleaved across a window's
-    score-pooled ranking (the per-class AP protocol), or across all classes
-    in segment order (the counting protocol) — so these flags serve every
-    window's PR curves *and* its detected-object count.
-    """
-    num_frames = int(frame_counts.shape[0])
-    frame_tp = np.zeros(num_frames, dtype=np.int64)
-    row_tp = np.zeros(above.scores.shape[0], dtype=bool)
-    gt_counts = truth.counts()[records]
-    active = np.flatnonzero((frame_counts > 0) & (gt_counts > 0))
-    if active.size == 0:
-        return frame_tp, row_tp
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ConfigurationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    det_starts = frame_starts[active]
-    gt_starts = truth.offsets[:-1][records[active]]
-    pair_counts = frame_counts[active] * gt_counts[active]
-    total = int(pair_counts.sum())
-    bases = np.zeros(active.size, dtype=np.int64)
-    np.cumsum(pair_counts[:-1], out=bases[1:])
-    local = np.arange(total, dtype=np.int64) - np.repeat(bases, pair_counts)
-    gc_rep = np.repeat(gt_counts[active], pair_counts)
-    det_local = local // gc_rep
-    gt_local = local % gc_rep
-    det_rows = np.repeat(det_starts, pair_counts) + det_local
-    gt_rows = np.repeat(gt_starts, pair_counts) + gt_local
-    iou = pairwise_iou(above.boxes[det_rows], truth.boxes[gt_rows])
-    ok = (above.labels[det_rows] == truth.labels[gt_rows]) & (iou >= iou_threshold)
-    candidates = np.flatnonzero(ok)
-    if candidates.size == 0:
-        return frame_tp, row_tp
-    pair_frame = np.repeat(np.arange(active.size, dtype=np.int64), pair_counts)
-    cand_frame = pair_frame[candidates].tolist()
-    cand_det = det_local[candidates].tolist()
-    cand_gt = gt_local[candidates].tolist()
-    cand_row = det_rows[candidates].tolist()
-    cand_iou = iou[candidates].tolist()
-    counts = [0] * int(active.size)
-    claimed: set[tuple[int, int]] = set()
-    num_pairs = len(cand_frame)
-    index = 0
-    while index < num_pairs:
-        frame = cand_frame[index]
-        det = cand_det[index]
-        row = cand_row[index]
-        best_iou = 0.0
-        best_gt = -1
-        # candidates are ordered (frame, det, gt) ascending, so strict ">"
-        # keeps the lowest gt index on IoU ties — argmax's tie-break
-        while index < num_pairs and cand_frame[index] == frame and cand_det[index] == det:
-            gt = cand_gt[index]
-            if (frame, gt) not in claimed and cand_iou[index] > best_iou:
-                best_iou = cand_iou[index]
-                best_gt = gt
-            index += 1
-        if best_gt >= 0:
-            claimed.add((frame, best_gt))
-            counts[frame] += 1
-            row_tp[row] = True
-    frame_tp[active] = counts
-    return frame_tp, row_tp
-
-
 def rolling_quality(
     reports,
     dataset: Dataset,
@@ -377,7 +291,9 @@ def rolling_quality(
     else:
         frame_counts = np.zeros(num_frames, dtype=np.int64)
         frame_starts = np.zeros(num_frames, dtype=np.int64)
-    frame_tp, row_tp = _frame_matches(above, frame_starts, frame_counts, records, truth, iou_threshold)
+    frame_tp, row_tp = match_batch(
+        above, truth, iou_threshold=iou_threshold, frames=(frame_starts, frame_counts, records)
+    )
 
     # Per-record per-class ground-truth counts: a window's class gt totals
     # (the PR recall denominators, and the devkit's skip-absent-classes

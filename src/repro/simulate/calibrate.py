@@ -127,8 +127,10 @@ def calibrate_profile(
     suppression, localisation jitter and class confusion — is estimated by
     running the detector on a ``sample_size`` subset, as
     ``measured / expected`` *on the same subset*, so subset sampling bias
-    cancels out of the final profile.  Those measured rounds run the full
-    simulator and dominate the cost.
+    cancels out of the final profile.  Each measured round runs the full
+    simulator over the sample, which is most of calibration's cost, and
+    counts the round's true positives with one split-level
+    :func:`~repro.detection.matching.match_batch` call.
 
     Parameters
     ----------

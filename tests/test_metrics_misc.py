@@ -47,6 +47,29 @@ class TestCounting:
         with pytest.raises(ConfigurationError):
             count_detected_objects([Detections.empty("a")], [])
 
+    @pytest.mark.parametrize("count", [count_detected_objects, count_summary])
+    @pytest.mark.parametrize("iou_threshold", [0.0, -0.1, 1.0000001, 2.0, float("nan")])
+    def test_invalid_iou_threshold_rejected_on_empty_truth(self, count, iou_threshold):
+        # No image has both detections and truth, so no matching would run.
+        dets = [_dets([[0.1, 0.1, 0.4, 0.4]], [0.9], [0])]
+        gts = [_gt(np.zeros((0, 4)), np.zeros(0, dtype=int))]
+        with pytest.raises(ConfigurationError, match="iou_threshold"):
+            count(dets, gts, iou_threshold=iou_threshold)
+
+    @pytest.mark.parametrize("count", [count_detected_objects, count_summary])
+    @pytest.mark.parametrize("score_threshold", [-0.1, 1.5, float("nan"), float("inf"), float("-inf")])
+    def test_invalid_score_threshold_rejected(self, count, score_threshold):
+        gts = [_gt([[0.1, 0.1, 0.4, 0.4]], [0])]
+        dets = [_dets([[0.1, 0.1, 0.4, 0.4]], [0.9], [0])]
+        with pytest.raises(ConfigurationError, match="score_threshold"):
+            count(dets, gts, score_threshold=score_threshold)
+
+    def test_threshold_bounds_accepted(self):
+        gts = [_gt([[0.1, 0.1, 0.4, 0.4]], [0])]
+        dets = [_dets([[0.1, 0.1, 0.4, 0.4]], [0.9], [0])]
+        assert count_detected_objects(dets, gts, score_threshold=0.0, iou_threshold=1.0) == 1
+        assert count_detected_objects(dets, gts, score_threshold=1.0) == 0
+
 
 class TestBinaryMetrics:
     def test_known_confusion(self):

@@ -140,6 +140,19 @@ class TestEvaluateDetections:
         result = evaluate_detections([], [], num_classes=3)
         assert result.map == 0.0
 
+    @pytest.mark.parametrize("iou_threshold", [0.0, -0.5, 2.0, float("nan")])
+    def test_invalid_iou_threshold_rejected(self, iou_threshold):
+        # 0.0 used to score a perfect 100.00000000000003 and 2.0 or NaN a
+        # silent 0.0.
+        gts = [_gt([[0.1, 0.1, 0.4, 0.4]], [0])]
+        dets = [_dets([[0.5, 0.5, 0.9, 0.9]], [0.9], [0])]
+        with pytest.raises(ConfigurationError, match="iou_threshold"):
+            evaluate_detections(dets, gts, num_classes=1, iou_threshold=iou_threshold)
+        with pytest.raises(ConfigurationError, match="iou_threshold"):
+            mean_average_precision(dets, gts, 1, iou_threshold=iou_threshold)
+        with pytest.raises(ConfigurationError, match="iou_threshold"):
+            precision_recall_curve(dets, gts, label=0, iou_threshold=iou_threshold)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_map_bounded_on_random_data(self, seed):
